@@ -16,11 +16,9 @@ EspEngine::EspEngine(const Schema* schema, DeltaMainStore* store,
       sys_(sys),
       options_(options),
       program_(*schema, sys.preferred_number),
-      evaluator_(rules),
+      rule_program_(*schema, *rules),
       row_buf_(schema->record_size(), 0) {
-  if (!rules_->empty()) {
-    rule_index_ = std::make_unique<RuleIndex>(rules_);
-  }
+  set_use_rule_index(options.use_rule_index);
   if (options.keep_event_archive) {
     EventArchive::Options aopts;
     aopts.retention_ms = options.archive_retention_ms;
@@ -38,8 +36,23 @@ EspEngine::EspEngine(const Schema* schema, DeltaMainStore* store,
   rules_fired_ = metrics->GetCounter("aim_esp_rules_fired_total", labels);
   rules_suppressed_ =
       metrics->GetCounter("aim_esp_rules_suppressed_total", labels);
+  rule_predicates_ =
+      metrics->GetCounter("aim_esp_rule_predicates_total", labels);
   entities_created_ =
       metrics->GetCounter("aim_esp_entities_created_total", labels);
+}
+
+void EspEngine::set_use_rule_index(bool use) {
+  options_.use_rule_index = use;
+  if (use && rule_index_ == nullptr) {
+    rule_index_ = std::make_unique<RuleIndex>(rules_);
+  }
+}
+
+void EspEngine::FlushPredicates() {
+  if (pending_predicates_ == 0) return;
+  rule_predicates_->Add(pending_predicates_);
+  pending_predicates_ = 0;
 }
 
 EspEngine::Stats EspEngine::stats() const {
@@ -62,7 +75,9 @@ void EspEngine::InitFreshRecord(EntityId entity, const Event& event) {
 
 Status EspEngine::ProcessEvent(const Event& event,
                                std::vector<std::uint32_t>* fired) {
-  return ProcessOne(event, fired);
+  const Status status = ProcessOne(event, fired);
+  FlushPredicates();
+  return status;
 }
 
 void EspEngine::ProcessBatch(std::span<const Event> events,
@@ -87,6 +102,7 @@ void EspEngine::ProcessBatch(std::span<const Event> events,
     }
     result->statuses[i] = ProcessOne(events[i], &result->fired[i]);
   }
+  FlushPredicates();
 }
 
 Status EspEngine::ProcessOne(const Event& event,
@@ -140,13 +156,17 @@ Status EspEngine::ProcessOne(const Event& event,
   // Business rule evaluation against the event and the updated record.
   if (!rules_->empty()) {
     ConstRecordView rec(schema_, row_buf_.data());
-    if (options_.use_rule_index && rule_index_ != nullptr) {
-      rule_index_->Evaluate(event, rec, &index_scratch_, &matched_buf_);
+    if (options_.use_rule_index) {
+      rule_index_->EvaluatePositions(event, rec, &index_scratch_,
+                                     &matched_buf_);
     } else {
-      evaluator_.Evaluate(event, rec, &matched_buf_);
+      pending_predicates_ +=
+          rule_program_.Evaluate(event, rec, &matched_buf_);
     }
     const std::size_t before = matched_buf_.size();
-    policy_tracker_.Filter(*rules_, entity, event.timestamp, &matched_buf_);
+    policy_tracker_.Filter(rule_program_.rule_ids(),
+                           rule_program_.policies(), entity,
+                           event.timestamp, &matched_buf_);
     rules_suppressed_->Add(before - matched_buf_.size());
     rules_fired_->Add(matched_buf_.size());
     if (fired != nullptr) {

@@ -12,8 +12,8 @@
 #include "aim/esp/event_archive.h"
 #include "aim/esp/firing_policy.h"
 #include "aim/esp/rule.h"
-#include "aim/esp/rule_eval.h"
 #include "aim/esp/rule_index.h"
+#include "aim/esp/rule_program.h"
 #include "aim/esp/update_kernel.h"
 #include "aim/storage/delta_main.h"
 
@@ -31,8 +31,8 @@ struct SystemAttrs {
 /// Per event it runs the single-row transaction of Algorithm 1 — Get,
 /// update every attribute group via the compiled update program, Put with
 /// conditional write, retry on conflict — and then evaluates the Business
-/// Rules against the updated record (Algorithm 2, or the rule index when
-/// enabled), applying firing policies.
+/// Rules against the updated record (Algorithm 2 as a compiled RuleProgram,
+/// or the rule index when enabled), applying firing policies.
 ///
 /// One engine instance per ESP thread; not thread-safe (the paper dedicates
 /// each entity to exactly one ESP thread, §4.6).
@@ -121,8 +121,9 @@ class EspEngine {
   const Counter* metric_txn_conflicts() const { return txn_conflicts_; }
   const Counter* metric_rules_fired() const { return rules_fired_; }
 
-  /// Switches between indexed and straight-forward rule evaluation.
-  void set_use_rule_index(bool use) { options_.use_rule_index = use; }
+  /// Switches between indexed and compiled rule evaluation. The index is
+  /// built on first use.
+  void set_use_rule_index(bool use);
 
   /// The event archive (null unless Options::keep_event_archive).
   const EventArchive* archive() const { return archive_.get(); }
@@ -134,6 +135,10 @@ class EspEngine {
   /// single-row transaction, rule evaluation).
   Status ProcessOne(const Event& event, std::vector<std::uint32_t>* fired);
 
+  /// Adds the predicates evaluated since the last flush to the counter:
+  /// one Add per ProcessEvent/ProcessBatch call, none per event.
+  void FlushPredicates();
+
   const Schema* schema_;
   DeltaMainStore* store_;
   const std::vector<Rule>* rules_;
@@ -141,14 +146,15 @@ class EspEngine {
   Options options_;
 
   UpdateProgram program_;
-  RuleEvaluator evaluator_;
+  RuleProgram rule_program_;
   std::unique_ptr<EventArchive> archive_;
-  std::unique_ptr<RuleIndex> rule_index_;
+  std::unique_ptr<RuleIndex> rule_index_;  // only once use_rule_index
   RuleIndex::Scratch index_scratch_;
   FiringPolicyTracker policy_tracker_;
 
   std::vector<std::uint8_t> row_buf_;
   std::vector<std::uint32_t> matched_buf_;
+  std::uint64_t pending_predicates_ = 0;  // flushed once per call
 
   // Registry-backed counters (owned by options_.metrics or own_metrics_).
   std::unique_ptr<MetricsRegistry> own_metrics_;
@@ -156,6 +162,7 @@ class EspEngine {
   Counter* txn_conflicts_;
   Counter* rules_fired_;
   Counter* rules_suppressed_;
+  Counter* rule_predicates_;
   Counter* entities_created_;
 };
 

@@ -2,6 +2,7 @@
 #define AIM_ESP_FIRING_POLICY_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -20,36 +21,41 @@ namespace aim {
 /// one ESP thread, so per-thread state is exact).
 class FiringPolicyTracker {
  public:
-  /// Filters `matched` (rule ids from the evaluator) in place: rules whose
-  /// policy suppresses this firing are removed; allowed firings are counted.
-  /// `rules` must be the same vector the evaluator used; `now` is the event
-  /// timestamp.
-  void Filter(const std::vector<Rule>& rules, EntityId entity, Timestamp now,
-              std::vector<std::uint32_t>* matched) {
+  /// Filters matched rules in place. On entry `matched` holds rule
+  /// positions, as RuleProgram reports them; on exit it holds the ids of
+  /// the rules that fire, in the same order: a rule whose policy suppresses
+  /// this firing is dropped, an allowed firing is counted. `rule_ids[pos]`
+  /// and `policies[pos]` describe the rule at position pos; `now` is the
+  /// event timestamp.
+  void Filter(std::span<const std::uint32_t> rule_ids,
+              std::span<const FiringPolicy> policies, EntityId entity,
+              Timestamp now, std::vector<std::uint32_t>* matched) {
     std::size_t out = 0;
-    for (std::size_t i = 0; i < matched->size(); ++i) {
-      const std::uint32_t rule_id = (*matched)[i];
-      const Rule* rule = FindRule(rules, rule_id);
-      if (rule == nullptr || Allow(*rule, entity, now)) {
-        (*matched)[out++] = rule_id;
+    for (const std::uint32_t pos : *matched) {
+      if (Allow(rule_ids[pos], policies[pos], entity, now)) {
+        (*matched)[out++] = rule_ids[pos];
       }
     }
     matched->resize(out);
   }
 
   /// Decides a single firing. Public for unit tests.
-  bool Allow(const Rule& rule, EntityId entity, Timestamp now) {
-    if (rule.policy.max_firings == 0) return true;  // unlimited
-    const Timestamp window_start =
-        WindowSpec::AlignDown(now, rule.policy.window_ms);
-    State& st = state_[Key(rule.id, entity)];
+  bool Allow(std::uint32_t rule_id, const FiringPolicy& policy,
+             EntityId entity, Timestamp now) {
+    if (policy.max_firings == 0) return true;  // unlimited
+    const Timestamp window_start = WindowSpec::AlignDown(now, policy.window_ms);
+    State& st = state_[Key(rule_id, entity)];
     if (st.window_start != window_start) {
       st.window_start = window_start;
       st.count = 0;
     }
-    if (st.count >= rule.policy.max_firings) return false;
+    if (st.count >= policy.max_firings) return false;
     st.count++;
     return true;
+  }
+
+  bool Allow(const Rule& rule, EntityId entity, Timestamp now) {
+    return Allow(rule.id, rule.policy, entity, now);
   }
 
   std::size_t tracked_pairs() const { return state_.size(); }
@@ -75,19 +81,6 @@ class FiringPolicyTracker {
     // Entity ids in practice fit 40 bits; mix to be safe against collisions
     // between (rule, entity) pairs.
     return (static_cast<std::uint64_t>(rule_id) << 40) ^ entity;
-  }
-
-  static const Rule* FindRule(const std::vector<Rule>& rules,
-                              std::uint32_t rule_id) {
-    // Rule ids are usually dense and equal to the position; fall back to a
-    // linear scan otherwise.
-    if (rule_id < rules.size() && rules[rule_id].id == rule_id) {
-      return &rules[rule_id];
-    }
-    for (const Rule& r : rules) {
-      if (r.id == rule_id) return &r;
-    }
-    return nullptr;
   }
 
   std::unordered_map<std::uint64_t, State> state_;

@@ -11,7 +11,9 @@ namespace aim {
 /// Straight-forward DNF evaluation over the rule set (paper Algorithm 2),
 /// with early abort (predicate false => next conjunct) and early success
 /// (conjunct true => rule matched, next rule). The paper found this beats a
-/// rule index for small rule sets (< ~1000 rules, §4.4).
+/// rule index for small rule sets (< ~1000 rules, §4.4). The engine runs
+/// the compiled RuleProgram instead; this is the reference its tests
+/// compare against and the baseline of bench_rule_index.
 class RuleEvaluator {
  public:
   /// Does not take ownership; `rules` must outlive the evaluator.

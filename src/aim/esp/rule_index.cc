@@ -43,7 +43,6 @@ RuleIndex::RuleIndex(const std::vector<Rule>* rules) : rules_(rules) {
     for (const Conjunct& conj : rule.conjuncts) {
       const std::uint32_t cid = static_cast<std::uint32_t>(conjuncts_.size());
       ConjunctInfo info;
-      info.rule_id = rule.id;
       info.rule_pos = rp;
       info.indexed_preds = 0;
       for (const Predicate& p : conj.predicates) {
@@ -142,7 +141,7 @@ void RuleIndex::BumpOccurrences(std::uint32_t occ_begin,
     }
     if (ok) {
       scratch->rule_epoch[info.rule_pos] = scratch->epoch;
-      matched->push_back(info.rule_id);
+      matched->push_back(info.rule_pos);
     }
   }
 }
@@ -150,6 +149,14 @@ void RuleIndex::BumpOccurrences(std::uint32_t occ_begin,
 void RuleIndex::Evaluate(const Event& event, const ConstRecordView& record,
                          Scratch* scratch,
                          std::vector<std::uint32_t>* matched) const {
+  EvaluatePositions(event, record, scratch, matched);
+  for (std::uint32_t& m : *matched) m = (*rules_)[m].id;
+}
+
+void RuleIndex::EvaluatePositions(const Event& event,
+                                  const ConstRecordView& record,
+                                  Scratch* scratch,
+                                  std::vector<std::uint32_t>* matched) const {
   matched->clear();
   scratch->conjunct_count.resize(conjuncts_.size(), 0);
   scratch->conjunct_epoch.resize(conjuncts_.size(), 0);
@@ -229,7 +236,7 @@ void RuleIndex::Evaluate(const Event& event, const ConstRecordView& record,
     }
     if (ok) {
       scratch->rule_epoch[info.rule_pos] = scratch->epoch;
-      matched->push_back(info.rule_id);
+      matched->push_back(info.rule_pos);
     }
   }
 }

@@ -45,6 +45,12 @@ class RuleIndex {
   void Evaluate(const Event& event, const ConstRecordView& record,
                 Scratch* scratch, std::vector<std::uint32_t>* matched) const;
 
+  /// As Evaluate, but reports rule positions (indices into `rules`), the
+  /// form FiringPolicyTracker::Filter takes.
+  void EvaluatePositions(const Event& event, const ConstRecordView& record,
+                         Scratch* scratch,
+                         std::vector<std::uint32_t>* matched) const;
+
   std::size_t num_dimensions() const { return dimensions_.size(); }
   std::size_t num_conjuncts() const { return conjuncts_.size(); }
 
@@ -71,7 +77,6 @@ class RuleIndex {
   };
 
   struct ConjunctInfo {
-    std::uint32_t rule_id;
     std::uint32_t rule_pos;       // index into rules_
     std::uint32_t indexed_preds;  // counter target
     std::vector<Predicate> residual;  // != predicates, verified directly

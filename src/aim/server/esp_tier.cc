@@ -5,7 +5,7 @@
 
 #include "aim/common/logging.h"
 #include "aim/common/thread_name.h"
-#include "aim/esp/rule_eval.h"
+#include "aim/esp/rule_program.h"
 #include "aim/esp/update_kernel.h"
 #include "aim/schema/record.h"
 #include "aim/server/local_node_channel.h"
@@ -121,7 +121,7 @@ bool EspTierNode::SubmitEvent(std::vector<std::uint8_t> event_bytes,
 void EspTierNode::WorkerLoop(Worker* worker) {
   SetCurrentThreadName("aim-tier-", worker->index);
   UpdateProgram program(*schema_, sys_.preferred_number);
-  RuleEvaluator evaluator(rules_);
+  RuleProgram rule_program(*schema_, *rules_);
   FiringPolicyTracker policy_tracker;
   std::vector<std::uint32_t> matched;
   // Heap slot shared with the reply callback so a timed-out rendezvous can
@@ -198,10 +198,11 @@ void EspTierNode::WorkerLoop(Worker* worker) {
           RecordView(schema_, row.data())
               .SetAs<std::int64_t>(sys_.last_event_ts, event.timestamp);
         }
-        evaluator.Evaluate(event, ConstRecordView(schema_, row.data()),
-                           &matched);
-        policy_tracker.Filter(*rules_, event.caller, event.timestamp,
+        rule_program.Evaluate(event, ConstRecordView(schema_, row.data()),
                               &matched);
+        policy_tracker.Filter(rule_program.rule_ids(),
+                              rule_program.policies(), event.caller,
+                              event.timestamp, &matched);
 
         // Remote Put: the record crosses the wire again.
         rendezvous->Reset();

@@ -1,8 +1,11 @@
 #include <algorithm>
+#include <map>
 
 #include <gtest/gtest.h>
 
 #include "aim/esp/esp_engine.h"
+#include "aim/esp/rule_eval.h"
+#include "aim/workload/rules_generator.h"
 #include "test_util.h"
 
 namespace aim {
@@ -243,6 +246,104 @@ TEST_F(EspEngineTest, BatchEquivalentToSequentialBitForBit) {
     EXPECT_EQ(a.rules_suppressed, b.rules_suppressed);
     EXPECT_EQ(a.entities_created, b.entities_created);
   }
+}
+
+// Engine-level parity of the compiled rule program: a seeded 300-rule
+// stream through ProcessBatch in random batch splits fires, per event,
+// exactly what RuleEvaluator plus FiringPolicyTracker fire on that event's
+// post-update record, kept by a reference model of Algorithm 1. Rule ids
+// are sparse, a third of the rules carry a per-day quota, timestamps roll
+// over several days, and the stream crosses the program's re-sort
+// interval three times.
+TEST_F(EspEngineTest, CompiledRulesFireAsAlgorithm2PlusPolicy) {
+  RulesGeneratorOptions ropts;
+  ropts.num_rules = 300;
+  ropts.seed = 77;
+  rules_ = MakeBenchmarkRules(*schema_, ropts);
+  std::map<std::uint32_t, const Rule*> by_id;
+  for (Rule& r : rules_) {
+    r.id = r.id * 5 + 3;
+    by_id[r.id] = &r;
+  }
+  EspEngine engine = MakeEngine();
+  RuleEvaluator oracle(&rules_);
+  FiringPolicyTracker oracle_policy;
+  const UpdateProgram update(*schema_, sys_.preferred_number);
+  std::map<EntityId, std::vector<std::uint8_t>> model;
+
+  Random rng(2024);
+  const std::size_t n = 3 * RuleProgram::kReorderInterval + 500;
+  std::vector<Event> stream;
+  for (std::size_t i = 0; i < n; ++i) {
+    stream.push_back(testing_util::RandomEvent(
+        &rng, rng.Uniform(16) + 1, 1000 + static_cast<Timestamp>(i) * 45000));
+  }
+
+  EspEngine::BatchResult result;
+  std::vector<std::uint32_t> expected;
+  std::uint64_t fired_total = 0;
+  std::uint64_t suppressed_total = 0;
+  for (std::size_t pos = 0; pos < n;) {
+    const std::size_t k =
+        std::min<std::size_t>(rng.Uniform(64) + 1, n - pos);
+    engine.ProcessBatch({stream.data() + pos, k}, &result);
+    for (std::size_t i = 0; i < k; ++i) {
+      const Event& e = stream[pos + i];
+      ASSERT_TRUE(result.statuses[i].ok());
+      auto [it, fresh] = model.try_emplace(e.caller);
+      std::vector<std::uint8_t>& row = it->second;
+      if (fresh) {
+        row.assign(schema_->record_size(), 0);
+        RecordView(schema_.get(), row.data())
+            .SetAs<std::uint64_t>(sys_.entity_id, e.caller);
+      }
+      update.Apply(e, row.data());
+      RecordView(schema_.get(), row.data())
+          .SetAs<std::int64_t>(sys_.last_event_ts, e.timestamp);
+      oracle.Evaluate(e, ConstRecordView(schema_.get(), row.data()),
+                      &expected);
+      const std::size_t matched = expected.size();
+      std::erase_if(expected, [&](std::uint32_t id) {
+        return !oracle_policy.Allow(*by_id.at(id), e.caller, e.timestamp);
+      });
+      suppressed_total += matched - expected.size();
+      fired_total += expected.size();
+      ASSERT_EQ(result.fired[i], expected) << "event " << pos + i;
+    }
+    pos += k;
+  }
+  EXPECT_GT(fired_total, 1000u);
+  EXPECT_GT(suppressed_total, 100u);
+  EXPECT_EQ(engine.stats().rules_fired, fired_total);
+  EXPECT_EQ(engine.stats().rules_suppressed, suppressed_total);
+}
+
+// The predicates counter moves once per call, and only the compiled
+// program feeds it: the rule index, switched on later, does not.
+TEST_F(EspEngineTest, CountsRulePredicatesPerCall) {
+  const std::uint16_t calls = schema_->FindAttribute("calls_today");
+  rules_.push_back(RuleBuilder(0, "a")
+                       .Where(calls, CmpOp::kGe, 100)
+                       .And(calls, CmpOp::kGe, 0)
+                       .Build());
+  MetricsRegistry registry;
+  EspEngine::Options opts;
+  opts.metrics = &registry;
+  EspEngine engine = MakeEngine(opts);
+  const Counter* predicates =
+      registry.GetCounter("aim_esp_rule_predicates_total", {});
+  std::vector<Event> batch = {CallEvent(1, 100, 10), CallEvent(2, 100, 10),
+                              CallEvent(1, 200, 10)};
+  EspEngine::BatchResult result;
+  engine.ProcessBatch(batch, &result);
+  // Before any re-order the guard is calls >= 100; it fails alone.
+  EXPECT_EQ(predicates->Value(), 3u);
+  ASSERT_TRUE(engine.ProcessEvent(CallEvent(2, 300, 10), nullptr).ok());
+  EXPECT_EQ(predicates->Value(), 4u);
+
+  engine.set_use_rule_index(true);
+  ASSERT_TRUE(engine.ProcessEvent(CallEvent(2, 400, 10), nullptr).ok());
+  EXPECT_EQ(predicates->Value(), 4u);
 }
 
 TEST_F(EspEngineTest, IndicatorsVisibleAfterMergeToo) {

@@ -165,20 +165,45 @@ TEST(FiringPolicyTest, CapsFiringsPerWindow) {
 
 TEST(FiringPolicyTest, FilterRemovesSuppressed) {
   FiringPolicyTracker tracker;
-  std::vector<Rule> rules(2);
-  rules[0].id = 0;
-  rules[0].policy = FiringPolicy::PerWindow(1, kMillisPerDay);
-  rules[1].id = 1;
-  rules[1].policy = FiringPolicy::Unlimited();
+  const std::vector<std::uint32_t> ids = {0, 1};
+  const std::vector<FiringPolicy> policies = {
+      FiringPolicy::PerWindow(1, kMillisPerDay), FiringPolicy::Unlimited()};
 
   std::vector<std::uint32_t> matched = {0, 1};
-  tracker.Filter(rules, 7, 100, &matched);
+  tracker.Filter(ids, policies, 7, 100, &matched);
   EXPECT_EQ(matched.size(), 2u);  // first firing allowed
 
   matched = {0, 1};
-  tracker.Filter(rules, 7, 200, &matched);
+  tracker.Filter(ids, policies, 7, 200, &matched);
   ASSERT_EQ(matched.size(), 1u);  // rule 0 suppressed now
   EXPECT_EQ(matched[0], 1u);
+}
+
+// Positions in, ids out: sparse, non-positional ids take the policy of
+// their own position, with no lookup by id.
+TEST(FiringPolicyTest, FilterMapsPositionsToSparseIds) {
+  FiringPolicyTracker tracker;
+  const std::vector<std::uint32_t> ids = {900, 7, 1u << 20};
+  const std::vector<FiringPolicy> policies = {
+      FiringPolicy::Unlimited(), FiringPolicy::PerWindow(1, kMillisPerDay),
+      FiringPolicy::PerWindow(2, kMillisPerDay)};
+
+  std::vector<std::uint32_t> matched = {0, 1, 2};
+  tracker.Filter(ids, policies, 5, 100, &matched);
+  EXPECT_EQ(matched, (std::vector<std::uint32_t>{900, 7, 1u << 20}));
+
+  matched = {0, 1, 2};
+  tracker.Filter(ids, policies, 5, 200, &matched);
+  EXPECT_EQ(matched, (std::vector<std::uint32_t>{900, 1u << 20}));
+
+  matched = {2, 1};
+  tracker.Filter(ids, policies, 5, 300, &matched);
+  EXPECT_TRUE(matched.empty());  // both quotas used today
+
+  matched = {1, 2};
+  tracker.Filter(ids, policies, 6, 300, &matched);  // another entity
+  EXPECT_EQ(matched, (std::vector<std::uint32_t>{7, 1u << 20}));
+  EXPECT_EQ(tracker.tracked_pairs(), 4u);
 }
 
 TEST(FiringPolicyTest, ExpireDropsOldWindows) {

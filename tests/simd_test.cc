@@ -104,10 +104,15 @@ Value ConstantFor(ValueType type, std::int64_t raw) {
   return Value();
 }
 
+/// gtest prints this struct byte-for-byte into the CTest test name, so the
+/// padding after `type` is an explicit zeroed member: uninitialised padding
+/// made the names differ from run to run.
 struct FilterCase {
   ValueType type;
+  std::uint8_t pad[3] = {};
   std::uint32_t count;
 };
+static_assert(sizeof(FilterCase) == 8);
 
 class SimdFilterTest : public ::testing::TestWithParam<FilterCase> {};
 
@@ -178,7 +183,7 @@ INSTANTIATE_TEST_SUITE_P(
       std::vector<FilterCase> cases;
       for (ValueType t : kAllTypes) {
         for (std::uint32_t n : {0u, 1u, 7u, 8u, 9u, 64u, 1000u, 3072u}) {
-          cases.push_back({t, n});
+          cases.push_back({.type = t, .count = n});
         }
       }
       return cases;
@@ -190,7 +195,7 @@ INSTANTIATE_TEST_SUITE_P(
       std::vector<FilterCase> cases;
       for (ValueType t : kAllTypes) {
         for (std::uint32_t n : {0u, 1u, 7u, 8u, 9u, 64u, 1000u, 3072u}) {
-          cases.push_back({t, n});
+          cases.push_back({.type = t, .count = n});
         }
       }
       return cases;

@@ -133,8 +133,12 @@ TEST_F(IngestBatchStressTest, BatchedIngestWhileQuery) {
         EventCompletion pace;
         const bool paced = b % 4 == 3;
         if (paced) batch.back().completion = &pace;
-        ASSERT_EQ(node.SubmitEventBatch(std::move(batch)), kBatchSize);
+        // Counted before the hand-off: an event can be processed and scanned
+        // before SubmitEventBatch returns, and the querier bounds the
+        // aggregate by this count. The queue hand-off orders the increment
+        // before any scan that sees the batch.
         submitted.fetch_add(kBatchSize, std::memory_order_relaxed);
+        ASSERT_EQ(node.SubmitEventBatch(std::move(batch)), kBatchSize);
         if (paced) {
           pace.Wait();
           ASSERT_TRUE(pace.status.ok()) << pace.status.ToString();

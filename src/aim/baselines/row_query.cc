@@ -1,6 +1,7 @@
 #include "aim/baselines/row_query.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "aim/common/logging.h"
@@ -178,6 +179,7 @@ bool RowQueryRun::Matches(const std::uint8_t* row) const {
 
 void RowQueryRun::Accumulate(const std::uint8_t* row) {
   if (query_.kind == Query::Kind::kTopK) {
+    if (query_.k == 0) return;
     for (std::size_t t = 0; t < query_.topk.size(); ++t) {
       const TopKTarget& target = query_.topk[t];
       double v = LoadAttr(row, target.attr);
@@ -186,6 +188,7 @@ void RowQueryRun::Accumulate(const std::uint8_t* row) {
         if (den == 0.0) continue;
         v /= den;
       }
+      if (std::isnan(v)) continue;  // NaN never ranks (see TopKBefore)
       TopKEntry entry;
       const Attribute& ea = schema_->attribute(query_.entity_attr);
       std::uint64_t ent = 0;
@@ -199,7 +202,7 @@ void RowQueryRun::Accumulate(const std::uint8_t* row) {
                          topk_state_[t].begin() + query_.k - 1,
                          topk_state_[t].end(),
                          [asc](const TopKEntry& a, const TopKEntry& b) {
-                           return asc ? a.value < b.value : a.value > b.value;
+                           return TopKBefore(a, b, asc);
                          });
         topk_state_[t].resize(query_.k);
       }
@@ -260,7 +263,7 @@ QueryResult RowQueryRun::Finish() {
     const bool asc = query_.topk[t].ascending;
     std::sort(entries.begin(), entries.end(),
               [asc](const TopKEntry& a, const TopKEntry& b) {
-                return asc ? a.value < b.value : a.value > b.value;
+                return TopKBefore(a, b, asc);
               });
     if (entries.size() > query_.k) entries.resize(query_.k);
     partial_.topk.push_back(std::move(entries));

@@ -32,11 +32,15 @@ std::uint16_t DimensionTable::FindColumn(const std::string& name) const {
 std::uint32_t DimensionTable::AddRow(
     std::uint64_t key, const std::vector<std::uint32_t>& u32_values,
     const std::vector<std::string>& str_values) {
-  AIM_CHECK_MSG(key_to_row_.find(key) == key_to_row_.end(),
-                "duplicate dimension key");
+  AIM_CHECK_MSG(key <= kMaxKey,
+                "dimension key %llu of table %s exceeds kMaxKey %llu",
+                static_cast<unsigned long long>(key), name_.c_str(),
+                static_cast<unsigned long long>(kMaxKey));
+  AIM_CHECK_MSG(LookupRow(key) == kNoRow, "duplicate dimension key");
   const std::uint32_t row = static_cast<std::uint32_t>(keys_.size());
   keys_.push_back(key);
-  key_to_row_.emplace(key, row);
+  if (key >= key_to_row_.size()) key_to_row_.resize(key + 1, kNoRow);
+  key_to_row_[key] = row;
 
   std::size_t ui = 0, si = 0;
   for (Column& c : columns_) {
@@ -57,9 +61,11 @@ std::uint32_t DimensionTable::AddRow(
   return row;
 }
 
-std::uint32_t DimensionTable::LookupRow(std::uint64_t key) const {
-  auto it = key_to_row_.find(key);
-  return it == key_to_row_.end() ? kNoRow : it->second;
+std::uint32_t DimensionTable::FindLabel(std::uint16_t col,
+                                        const std::string& label) const {
+  const Column& c = columns_[col];
+  auto it = c.label_ids.find(label);
+  return it == c.label_ids.end() ? kNoLabel : it->second;
 }
 
 std::uint64_t DimensionTable::GroupKey(std::uint32_t row,

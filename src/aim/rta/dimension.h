@@ -18,9 +18,19 @@ namespace aim {
 /// row id; columns are either numeric (u32) or labels (strings, used as
 /// group-by output). Built once, immutable afterwards — which is what makes
 /// replication cheap (paper §4.1(d)).
+///
+/// Keys are the values of u32 FK columns and are expected to be small and
+/// dense, so the key -> row map is a flat array indexed by key (key_span()
+/// entries) and compiled queries resolve joins with per-key arrays of the
+/// same span. Keys must be <= kMaxKey; AddRow aborts on a larger one rather
+/// than let a scan silently miss it.
 class DimensionTable {
  public:
   enum class ColumnType : std::uint8_t { kUInt32 = 0, kString = 1 };
+
+  /// Largest admissible key. Bounds every key-indexed array (4 B per key
+  /// here, 1-4 B per key in each compiled query) at a few MB.
+  static constexpr std::uint64_t kMaxKey = (std::uint64_t{1} << 20) - 1;
 
   explicit DimensionTable(std::string name) : name_(std::move(name)) {}
 
@@ -45,7 +55,8 @@ class DimensionTable {
 
   /// Adds a row; `u32_values` / `str_values` must match the declared
   /// columns in order (u32 columns consume from u32_values, string columns
-  /// from str_values). Returns the dense row id.
+  /// from str_values). Returns the dense row id. Aborts on a duplicate key
+  /// or a key above kMaxKey.
   std::uint32_t AddRow(std::uint64_t key,
                        const std::vector<std::uint32_t>& u32_values,
                        const std::vector<std::string>& str_values);
@@ -56,7 +67,15 @@ class DimensionTable {
 
   static constexpr std::uint32_t kNoRow = 0xffffffffu;
   /// Dense row id for an application key (FK value), or kNoRow.
-  std::uint32_t LookupRow(std::uint64_t key) const;
+  std::uint32_t LookupRow(std::uint64_t key) const {
+    return key < key_to_row_.size() ? key_to_row_[key] : kNoRow;
+  }
+
+  /// One past the largest key added (0 for an empty table): every key-
+  /// indexed array over this table has this many entries.
+  std::uint32_t key_span() const {
+    return static_cast<std::uint32_t>(key_to_row_.size());
+  }
 
   std::uint64_t row_key(std::uint32_t row) const { return keys_[row]; }
   std::uint32_t u32_value(std::uint32_t row, std::uint16_t col) const {
@@ -71,6 +90,15 @@ class DimensionTable {
   /// columns group by a dense label id (resolved back via GroupLabel).
   std::uint64_t GroupKey(std::uint32_t row, std::uint16_t col) const;
   std::string GroupLabel(std::uint64_t group_key, std::uint16_t col) const;
+
+  /// Label id of `label` in string column `col`, or kNoLabel. Lets string
+  /// predicates compare label ids instead of strings.
+  static constexpr std::uint32_t kNoLabel = 0xffffffffu;
+  std::uint32_t FindLabel(std::uint16_t col, const std::string& label) const;
+  /// Label id of `row` in string column `col`.
+  std::uint32_t row_label(std::uint32_t row, std::uint16_t col) const {
+    return columns_[col].row_label[row];
+  }
 
  private:
   struct Column {
@@ -88,7 +116,7 @@ class DimensionTable {
   std::string name_;
   std::vector<Column> columns_;
   std::vector<std::uint64_t> keys_;
-  std::unordered_map<std::uint64_t, std::uint32_t> key_to_row_;
+  std::vector<std::uint32_t> key_to_row_;  // key -> row, kNoRow for holes
 };
 
 /// The set of dimension tables replicated at a node (or front-end).

@@ -1,10 +1,11 @@
 #include "aim/rta/partial_result.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <unordered_map>
 
 #include "aim/common/logging.h"
+#include "aim/rta/group_table.h"
 
 namespace aim {
 
@@ -17,18 +18,17 @@ std::uint32_t NumAggSlots(const Query& query) {
 }
 
 void PartialResult::MergeFrom(const PartialResult& other, const Query& query) {
-  // Merge group tables: O(n) hash on keys.
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    index.emplace(groups[i].key, i);
-  }
+  // Merge group tables: O(n) on keys. The table hands out indices in
+  // insertion order, which is exactly `groups` order (keys are unique).
+  GroupTable index;
+  bool inserted = false;
+  for (const Group& g : groups) index.FindOrInsert(g.key, &inserted);
   for (const Group& g : other.groups) {
-    auto it = index.find(g.key);
-    if (it == index.end()) {
+    const std::uint32_t i = index.FindOrInsert(g.key, &inserted);
+    if (inserted) {
       groups.push_back(g);
     } else {
-      Group& mine = groups[it->second];
+      Group& mine = groups[i];
       AIM_CHECK(mine.slots.size() == g.slots.size());
       for (std::size_t s = 0; s < g.slots.size(); ++s) {
         mine.slots[s].MergeFrom(g.slots[s]);
@@ -41,10 +41,12 @@ void PartialResult::MergeFrom(const PartialResult& other, const Query& query) {
   for (std::size_t t = 0; t < other.topk.size(); ++t) {
     auto& mine = topk[t];
     mine.insert(mine.end(), other.topk[t].begin(), other.topk[t].end());
+    // A partial off the wire may carry NaN; keep the sort's order strict.
+    std::erase_if(mine, [](const TopKEntry& e) { return std::isnan(e.value); });
     const bool asc = t < query.topk.size() && query.topk[t].ascending;
     std::sort(mine.begin(), mine.end(),
               [asc](const TopKEntry& a, const TopKEntry& b) {
-                return asc ? a.value < b.value : a.value > b.value;
+                return TopKBefore(a, b, asc);
               });
     if (mine.size() > query.k) mine.resize(query.k);
   }

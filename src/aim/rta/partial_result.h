@@ -19,6 +19,19 @@ struct TopKEntry {
   double value = 0.0;
 };
 
+/// Top-k rank order: the better value first (larger, or smaller when
+/// `ascending`), equal values by ascending entity id. A strict weak order
+/// over non-NaN values, and a total one while entity ids are distinct, so
+/// every partitioning of the records ranks the same entities first. NaN
+/// values are excluded before ranking (engine, merge and baseline alike).
+inline bool TopKBefore(const TopKEntry& a, const TopKEntry& b,
+                       bool ascending) {
+  if (a.value != b.value) {
+    return ascending ? a.value < b.value : a.value > b.value;
+  }
+  return a.entity < b.entity;
+}
+
 /// The partial result a storage node produces for one query over its share
 /// of the Analytics Matrix. RTA front-end nodes merge the partials from all
 /// storage nodes and finalize (paper §4.2: "merge the partial results before

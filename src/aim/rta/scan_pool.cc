@@ -8,8 +8,8 @@
 
 namespace aim {
 
-/// One executor's private view of a job: a lazily-materialized clone of
-/// the compiled batch plus scan scratch. Slot w belongs to pool worker w;
+/// One executor's private view of a job: lazily-created accumulators for
+/// the batch's plans plus scan scratch. Slot w belongs to pool worker w;
 /// the extra slot [num_threads] belongs to the job's coordinator — no two
 /// threads ever share a context, so morsel execution needs no locking
 /// beyond the board's task handoff.
@@ -23,7 +23,7 @@ struct ScanPool::ExecutorContext {
 struct ScanPool::Job {
   Board::JobTicket ticket;
   const ColumnMap* map = nullptr;
-  const std::vector<CompiledQuery>* prototype = nullptr;
+  const std::vector<std::shared_ptr<const QueryPlan>>* plans = nullptr;
   std::uint32_t morsel_buckets = 1;
   std::uint32_t num_buckets = 0;
   std::vector<ExecutorContext> contexts;  // workers + 1 coordinator slot
@@ -59,10 +59,12 @@ ScanPool::~ScanPool() {
 void ScanPool::ExecuteMorsel(Job* job, std::uint32_t seq,
                              ExecutorContext* ctx) {
   if (!ctx->used) {
-    // First morsel this executor takes from this job: clone the compiled
-    // batch (compiled queries carry mutable accumulation state, one clone
-    // per executor) straight from the coordinator's reset prototype.
-    ctx->queries = *job->prototype;
+    // First morsel this executor takes from this job: accumulators for
+    // every plan (the plans themselves are shared, read-only).
+    ctx->queries.reserve(job->plans->size());
+    for (const std::shared_ptr<const QueryPlan>& plan : *job->plans) {
+      ctx->queries.emplace_back(plan);
+    }
     ctx->used = true;
   }
   ++ctx->morsels;
@@ -98,11 +100,12 @@ void ScanPool::WorkerLoop(std::size_t worker) {
 }
 
 ScanPool::ScanStats ScanPool::ScanPartition(
-    const ColumnMap& main, const std::vector<CompiledQuery>& prototype,
+    const ColumnMap& main,
+    const std::vector<std::shared_ptr<const QueryPlan>>& plans,
     const ScanOptions& options, std::vector<PartialResult>* results) {
   Job job;
   job.map = &main;
-  job.prototype = &prototype;
+  job.plans = &plans;
   job.morsel_buckets = std::max<std::uint32_t>(1, options.morsel_buckets);
   job.num_buckets = main.num_buckets();
   job.contexts.resize(workers_.size() + 1);
@@ -148,30 +151,27 @@ ScanPool::ScanStats ScanPool::ScanPartition(
 
   // Merge step (coordinator-owned, see header): fold every executor's
   // per-query partial into one result per query. An executor that took no
-  // morsel has no clone and contributes nothing; if *no* executor ran
-  // (empty partition), clone the prototype once so queries still produce
-  // their well-formed empty partials.
+  // morsel has no accumulators and contributes nothing; if *no* executor
+  // ran (empty partition), queries still produce well-formed empty
+  // partials from fresh accumulators.
   results->clear();
-  results->resize(prototype.size());
-  std::vector<bool> first(prototype.size(), true);
+  results->resize(plans.size());
   bool any_used = false;
   for (ExecutorContext& ctx : job.contexts) {
     if (!ctx.used) continue;
-    any_used = true;
-    for (std::size_t q = 0; q < prototype.size(); ++q) {
+    for (std::size_t q = 0; q < plans.size(); ++q) {
       PartialResult p = ctx.queries[q].TakePartial();
-      if (first[q]) {
+      if (!any_used) {
         (*results)[q] = std::move(p);
-        first[q] = false;
       } else {
-        (*results)[q].MergeFrom(p, prototype[q].query());
+        (*results)[q].MergeFrom(p, plans[q]->query);
       }
     }
+    any_used = true;
   }
-  if (!any_used && !prototype.empty()) {
-    std::vector<CompiledQuery> clone = prototype;
-    for (std::size_t q = 0; q < clone.size(); ++q) {
-      (*results)[q] = clone[q].TakePartial();
+  if (!any_used) {
+    for (std::size_t q = 0; q < plans.size(); ++q) {
+      (*results)[q] = CompiledQuery(plans[q]).TakePartial();
     }
   }
   return stats;

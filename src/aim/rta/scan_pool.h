@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,11 +19,12 @@ namespace aim {
 /// coordinators — typically the per-partition RTA threads — submit scan
 /// *jobs*. A job decomposes one partition's scan step into bucket-range
 /// morsels; workers and the submitting coordinator pull morsels from the
-/// ScanTaskBoard (own deque first, then steal), each executing against its
-/// own clone of the compiled batch, and the coordinator merges the
-/// per-executor PartialResults when the last morsel completes. No threads
-/// are created per scan cycle, and one pool load-balances all partitions:
-/// a skewed partition's morsels spill onto whichever workers are idle.
+/// ScanTaskBoard (own deque first, then steal), each executing the batch's
+/// shared, immutable QueryPlans into its own accumulators, and the
+/// coordinator merges the per-executor PartialResults when the last morsel
+/// completes. No threads are created per scan cycle, and one pool
+/// load-balances all partitions: a skewed partition's morsels spill onto
+/// whichever workers are idle.
 ///
 /// The merge step stays with the coordinator (the partition's RTA thread):
 /// delta-swap and checkpoint gating are per-partition protocols keyed to
@@ -75,16 +77,16 @@ class ScanPool {
 
   std::size_t num_threads() const { return workers_.size(); }
 
-  /// Executes `prototype` (a compiled query batch with freshly-reset
-  /// execution state) over every bucket of `main`, cooperatively with the
-  /// pool workers. Returns one merged PartialResult per query in
-  /// `*results` (sized/overwritten). The caller is the job's coordinator
-  /// and blocks until its job is fully executed; `main` and `prototype`
-  /// must stay valid and unmodified for the duration.
-  ScanStats ScanPartition(const ColumnMap& main,
-                          const std::vector<CompiledQuery>& prototype,
-                          const ScanOptions& options,
-                          std::vector<PartialResult>* results);
+  /// Executes the batch `plans` over every bucket of `main`, cooperatively
+  /// with the pool workers; each executor that takes a morsel creates its
+  /// own accumulators for the plans. Returns one merged PartialResult per
+  /// plan in `*results` (sized/overwritten). The caller is the job's
+  /// coordinator and blocks until its job is fully executed; `main` and
+  /// `plans` must stay valid and unmodified for the duration.
+  ScanStats ScanPartition(
+      const ColumnMap& main,
+      const std::vector<std::shared_ptr<const QueryPlan>>& plans,
+      const ScanOptions& options, std::vector<PartialResult>* results);
 
   /// Total steals across the pool's lifetime (0 without a registry — the
   /// counter lives in the registry; tests read it from there or here).
@@ -92,7 +94,7 @@ class ScanPool {
   std::uint64_t morsels() const;
 
   /// Process-wide shared pool with hardware_concurrency()-1 workers, for
-  /// callers without a node-owned pool (ParallelSharedScan's default).
+  /// callers without a node-owned pool.
   /// Created on first use, never destroyed (workers park on the board's
   /// condvar when idle).
   static ScanPool* Shared();

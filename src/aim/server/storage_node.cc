@@ -682,6 +682,8 @@ void StorageNode::WritePartitionCheckpoint(std::uint32_t partition_id) {
 void StorageNode::FillBatch() {
   batch_.clear();
   batch_queries_.clear();
+  batch_plans_.clear();
+  plan_for_.clear();
   stop_round_ = false;
 
   // Wait briefly for work so that idle cycles still merge periodically.
@@ -713,6 +715,12 @@ void StorageNode::FillBatch() {
     // Malformed queries still occupy a batch slot so reply order holds; the
     // coordinator replies with an empty partial for them.
     batch_queries_.push_back(q.ok() ? std::move(q).value() : Query{});
+    StatusOr<std::shared_ptr<const QueryPlan>> plan =
+        QueryPlan::Compile(batch_queries_.back(), schema_, dims_);
+    if (plan.ok()) {
+      batch_plans_.push_back(std::move(plan).value());
+      plan_for_.push_back(batch_queries_.size() - 1);
+    }
   }
 }
 
@@ -748,21 +756,10 @@ void StorageNode::RtaLoop(std::uint32_t partition_id) {
       rta_batch_size_->Record(static_cast<double>(batch_.size()));
     }
 
-    // Compile and scan this partition for the whole batch (Algorithm 5:
-    // bucket-major, query-minor).
-    std::vector<CompiledQuery> compiled;
-    compiled.reserve(batch_queries_.size());
-    std::vector<std::size_t> compiled_for;  // batch index per compiled entry
-    for (std::size_t qi = 0; qi < batch_queries_.size(); ++qi) {
-      StatusOr<CompiledQuery> cq =
-          CompiledQuery::Compile(batch_queries_[qi], schema_, dims_);
-      if (cq.ok()) {
-        compiled.push_back(std::move(cq).value());
-        compiled_for.push_back(qi);
-      }
-    }
+    // Scan this partition for the whole batch (Algorithm 5: bucket-major,
+    // query-minor), with the plans the coordinator compiled in FillBatch.
     partials_[partition_id].assign(batch_queries_.size(), PartialResult{});
-    if (!compiled.empty()) {
+    if (!batch_plans_.empty()) {
       Stopwatch scan_timer;
       if (scan_pool_ != nullptr) {
         // Task-queue model: this thread coordinates — the scan step is
@@ -773,16 +770,20 @@ void StorageNode::RtaLoop(std::uint32_t partition_id) {
         ScanPool::ScanOptions scan_opts;
         scan_opts.morsel_buckets = options_.scan_morsel_buckets;
         std::vector<PartialResult> merged;
-        scan_pool_->ScanPartition(store->main(), compiled, scan_opts,
+        scan_pool_->ScanPartition(store->main(), batch_plans_, scan_opts,
                                   &merged);
-        for (std::size_t ci = 0; ci < compiled.size(); ++ci) {
-          partials_[partition_id][compiled_for[ci]] = std::move(merged[ci]);
+        for (std::size_t ci = 0; ci < merged.size(); ++ci) {
+          partials_[partition_id][plan_for_[ci]] = std::move(merged[ci]);
         }
       } else {
+        std::vector<CompiledQuery> compiled;
+        compiled.reserve(batch_plans_.size());
+        for (const std::shared_ptr<const QueryPlan>& plan : batch_plans_) {
+          compiled.emplace_back(plan);
+        }
         scan.ScanStep(compiled);
         for (std::size_t ci = 0; ci < compiled.size(); ++ci) {
-          partials_[partition_id][compiled_for[ci]] =
-              compiled[ci].TakePartial();
+          partials_[partition_id][plan_for_[ci]] = compiled[ci].TakePartial();
         }
       }
       rta_scan_duration_->Record(scan_timer.ElapsedMicros());

@@ -293,6 +293,10 @@ class StorageNode {
   // Per-round shared state (published by the coordinator between barriers).
   std::vector<QueryMessage> batch_;
   std::vector<Query> batch_queries_;
+  // The batch's compiled plans, once per batch for every partition, and the
+  // batch index of each (queries that fail to compile have no plan).
+  std::vector<std::shared_ptr<const QueryPlan>> batch_plans_;
+  std::vector<std::size_t> plan_for_;
   bool stop_round_ = false;
   // partials_[partition][query in batch]
   std::vector<std::vector<PartialResult>> partials_;

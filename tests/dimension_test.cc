@@ -49,6 +49,32 @@ TEST(DimensionTableTest, NumericGroupKeysAreValues) {
   EXPECT_EQ(t.GroupLabel(42, c), "42");
 }
 
+TEST(DimensionTableTest, DenseKeysCoverHolesAndSpan) {
+  DimensionTable t("T");
+  const std::uint16_t label = t.AddStringColumn("label");
+  EXPECT_EQ(t.key_span(), 0u);
+  const std::uint32_t r0 = t.AddRow(5, {}, {"x"});
+  const std::uint32_t r1 = t.AddRow(2, {}, {"y"});
+  EXPECT_EQ(t.key_span(), 6u);  // keys 0..5
+  EXPECT_EQ(t.LookupRow(5), r0);
+  EXPECT_EQ(t.LookupRow(2), r1);
+  EXPECT_EQ(t.LookupRow(3), DimensionTable::kNoRow);  // hole
+  EXPECT_EQ(t.LookupRow(6), DimensionTable::kNoRow);  // beyond the span
+  EXPECT_EQ(t.LookupRow(std::uint64_t{1} << 40), DimensionTable::kNoRow);
+  EXPECT_EQ(t.FindLabel(label, "y"), t.row_label(r1, label));
+  EXPECT_EQ(t.FindLabel(label, "z"), DimensionTable::kNoLabel);
+}
+
+TEST(DimensionTableDeathTest, KeyAboveBoundFailsAtAddRow) {
+  DimensionTable t("T");
+  t.AddUInt32Column("v");
+  t.AddRow(DimensionTable::kMaxKey, {1}, {});  // the bound itself is fine
+  EXPECT_EQ(t.key_span(), DimensionTable::kMaxKey + 1);
+  EXPECT_DEATH(t.AddRow(DimensionTable::kMaxKey + 1, {2}, {}),
+               "exceeds kMaxKey");
+  EXPECT_DEATH(t.AddRow(std::uint64_t{1} << 40, {3}, {}), "exceeds kMaxKey");
+}
+
 TEST(DimensionCatalogTest, AddAndFind) {
   DimensionCatalog catalog;
   DimensionTable a("A"), b("B");

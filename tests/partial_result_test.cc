@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "aim/rta/partial_result.h"
@@ -99,6 +101,24 @@ TEST(PartialResultTest, MergeTopKKeepsBestK) {
   ASSERT_EQ(a.topk[0].size(), 2u);
   EXPECT_EQ(a.topk[0][0].entity, 4u);  // 20.0
   EXPECT_EQ(a.topk[0][1].entity, 1u);  // 10.0
+}
+
+TEST(PartialResultTest, MergeTopKDropsNaNAndBreaksTiesByEntity) {
+  auto schema = MakeTinySchema();
+  Query q = *QueryBuilder(schema.get())
+                 .TopK("dur_today_max", /*ascending=*/true, 3)
+                 .WithEntityAttr("entity_id")
+                 .Build();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  PartialResult a, b;
+  // A partial decoded off the wire may carry NaN; it must not rank.
+  a.topk.push_back({{9, nan}, {7, 5.0}, {2, 5.0}});
+  b.topk.push_back({{1, nan}, {4, 5.0}, {3, -1.0}});
+  a.MergeFrom(b, q);
+  ASSERT_EQ(a.topk[0].size(), 3u);
+  EXPECT_EQ(a.topk[0][0].entity, 3u);  // -1.0
+  EXPECT_EQ(a.topk[0][1].entity, 2u);  // 5.0, smallest id of the tie
+  EXPECT_EQ(a.topk[0][2].entity, 4u);  // 5.0
 }
 
 TEST(FinalizeResultTest, AvgAndCountSemantics) {

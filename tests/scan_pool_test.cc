@@ -1,3 +1,6 @@
+#include <dirent.h>
+
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -5,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "aim/rta/scan_pool.h"
+#include "aim/rta/shared_scan.h"
+#include "aim/storage/delta_main.h"
 #include "test_util.h"
 
 namespace aim {
@@ -58,12 +63,13 @@ class ScanPoolTest : public ::testing::Test {
     return batch;
   }
 
-  std::vector<CompiledQuery> CompileBatch(const std::vector<Query>& batch) {
-    std::vector<CompiledQuery> compiled;
+  std::vector<std::shared_ptr<const QueryPlan>> CompileBatch(
+      const std::vector<Query>& batch) {
+    std::vector<std::shared_ptr<const QueryPlan>> plans;
     for (const Query& q : batch) {
-      compiled.push_back(*CompiledQuery::Compile(q, schema_.get(), nullptr));
+      plans.push_back(*QueryPlan::Compile(q, schema_.get(), nullptr));
     }
-    return compiled;
+    return plans;
   }
 
   std::vector<QueryResult> SingleThreadReference(
@@ -119,12 +125,12 @@ TEST_F(ScanPoolTest, MatchesSingleThreadedSharedScanExactly) {
     popts.num_threads = workers;
     ScanPool pool(popts);
     for (std::uint32_t morsel : {1u, 4u, 16u, 1000u}) {
-      const std::vector<CompiledQuery> prototype = CompileBatch(batch);
+      const auto plans = CompileBatch(batch);
       ScanPool::ScanOptions sopts;
       sopts.morsel_buckets = morsel;
       std::vector<PartialResult> results;
       const ScanPool::ScanStats stats =
-          pool.ScanPartition(*map_, prototype, sopts, &results);
+          pool.ScanPartition(*map_, plans, sopts, &results);
       EXPECT_EQ(stats.morsels,
                 (map_->num_buckets() + morsel - 1) / morsel);
       EXPECT_EQ(stats.executed_by_coordinator + stats.executed_by_workers,
@@ -142,14 +148,14 @@ TEST_F(ScanPoolTest, WorkersCarryWholeScanWhenCoordinatorAbstains) {
   ScanPool::Options popts;
   popts.num_threads = 2;
   ScanPool pool(popts);
-  const std::vector<CompiledQuery> prototype = CompileBatch(batch);
+  const auto plans = CompileBatch(batch);
 
   ScanPool::ScanOptions sopts;
   sopts.morsel_buckets = 4;
   sopts.coordinator_participates = false;
   std::vector<PartialResult> results;
   const ScanPool::ScanStats stats =
-      pool.ScanPartition(*map_, prototype, sopts, &results);
+      pool.ScanPartition(*map_, plans, sopts, &results);
 
   // Deterministic proof the pool executed the scan: the coordinator never
   // took a morsel, yet every morsel completed and the results are exact.
@@ -163,13 +169,13 @@ TEST_F(ScanPoolTest, ZeroWorkerPoolForcesCoordinatorExecution) {
   const std::vector<Query> batch = MakeBatch();
   ScanPool pool(ScanPool::Options{});
   ASSERT_EQ(pool.num_threads(), 0u);
-  const std::vector<CompiledQuery> prototype = CompileBatch(batch);
+  const auto plans = CompileBatch(batch);
 
   ScanPool::ScanOptions sopts;
   sopts.coordinator_participates = false;  // must be overridden, or deadlock
   std::vector<PartialResult> results;
   const ScanPool::ScanStats stats =
-      pool.ScanPartition(*map_, prototype, sopts, &results);
+      pool.ScanPartition(*map_, plans, sopts, &results);
   EXPECT_EQ(stats.executed_by_coordinator, stats.morsels);
   EXPECT_EQ(stats.executed_by_workers, 0u);
 }
@@ -179,13 +185,13 @@ TEST_F(ScanPoolTest, PerExecutorCountsSumToMorsels) {
   ScanPool::Options popts;
   popts.num_threads = 2;
   ScanPool pool(popts);
-  const std::vector<CompiledQuery> prototype = CompileBatch(batch);
+  const auto plans = CompileBatch(batch);
 
   ScanPool::ScanOptions sopts;
   sopts.morsel_buckets = 2;
   std::vector<PartialResult> results;
   const ScanPool::ScanStats stats =
-      pool.ScanPartition(*map_, prototype, sopts, &results);
+      pool.ScanPartition(*map_, plans, sopts, &results);
   ASSERT_EQ(stats.per_executor.size(), pool.num_threads() + 1);
   std::uint32_t total = 0;
   for (std::uint32_t n : stats.per_executor) total += n;
@@ -202,11 +208,11 @@ TEST_F(ScanPoolTest, EmptyPartitionYieldsWellFormedPartials) {
   ScanPool::Options popts;
   popts.num_threads = 1;
   ScanPool pool(popts);
-  const std::vector<CompiledQuery> prototype = CompileBatch(batch);
+  const auto plans = CompileBatch(batch);
 
   std::vector<PartialResult> results;
   const ScanPool::ScanStats stats =
-      pool.ScanPartition(empty, prototype, ScanPool::ScanOptions{}, &results);
+      pool.ScanPartition(empty, plans, ScanPool::ScanOptions{}, &results);
   EXPECT_EQ(stats.morsels, 0u);
   ASSERT_EQ(results.size(), 1u);
   QueryResult r = FinalizeResult(batch[0], nullptr, std::move(results[0]));
@@ -223,12 +229,12 @@ TEST_F(ScanPoolTest, MorselAndStealCountersAreWired) {
   ScanPool pool(popts);
 
   const std::vector<Query> batch = MakeBatch();
-  const std::vector<CompiledQuery> prototype = CompileBatch(batch);
+  const auto plans = CompileBatch(batch);
   ScanPool::ScanOptions sopts;
   sopts.morsel_buckets = 2;
   std::vector<PartialResult> results;
   const ScanPool::ScanStats stats =
-      pool.ScanPartition(*map_, prototype, sopts, &results);
+      pool.ScanPartition(*map_, plans, sopts, &results);
 
   Counter* morsels =
       registry.GetCounter("aim_scan_morsels_total", {{"node", "7"}});
@@ -248,6 +254,155 @@ TEST_F(ScanPoolTest, SharedPoolIsASingleton) {
   ScanPool* b = ScanPool::Shared();
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a, b);
+}
+
+TEST_F(ScanPoolTest, CountStarSeesEveryRecordOnce) {
+  const std::vector<Query> batch = {
+      *QueryBuilder(schema_.get()).SelectCount().Build()};
+  ScanPool::Options popts;
+  popts.num_threads = 3;
+  ScanPool pool(popts);
+  ScanPool::ScanOptions sopts;
+  sopts.morsel_buckets = 2;
+  std::vector<PartialResult> results;
+  const ScanPool::ScanStats stats =
+      pool.ScanPartition(*map_, CompileBatch(batch), sopts, &results);
+
+  // COUNT(*) over all morsels equals the record count: every bucket was
+  // visited exactly once, by exactly one executor.
+  QueryResult r = FinalizeResult(batch[0], nullptr, std::move(results[0]));
+  EXPECT_DOUBLE_EQ(r.rows[0].values[0], kRecords);
+  std::uint32_t total = 0;
+  for (std::uint32_t n : stats.per_executor) total += n;
+  EXPECT_EQ(total, (map_->num_buckets() + 1) / 2);
+}
+
+// Number of live threads in this process (Linux: /proc/self/task entries).
+std::size_t CountProcessThreads() {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  std::size_t n = 0;
+  while (dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] != '.') ++n;
+  }
+  closedir(dir);
+  return n;
+}
+
+TEST_F(ScanPoolTest, RepeatedScansCreateNoThreads) {
+  const auto plans = CompileBatch(MakeBatch());
+  ScanPool::ScanOptions sopts;
+  sopts.morsel_buckets = 2;
+  std::vector<PartialResult> results;
+  // The first call may lazily start the shared pool's persistent workers.
+  ScanPool::Shared()->ScanPartition(*map_, plans, sopts, &results);
+  const std::size_t warm = CountProcessThreads();
+  ASSERT_GT(warm, 0u);
+  for (int i = 0; i < 8; ++i) {
+    ScanPool::Shared()->ScanPartition(*map_, plans, sopts, &results);
+    EXPECT_EQ(CountProcessThreads(), warm) << "iteration " << i;
+  }
+}
+
+/// Bitwise equality of two finalized results (doubles compared by bits,
+/// so -0.0 and +0.0 or two NaN payloads would differ).
+void ExpectBitIdentical(const QueryResult& got, const QueryResult& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.rows.size(), want.rows.size()) << where;
+  for (std::size_t r = 0; r < want.rows.size(); ++r) {
+    EXPECT_EQ(got.rows[r].group_key, want.rows[r].group_key) << where;
+    ASSERT_EQ(got.rows[r].values.size(), want.rows[r].values.size());
+    for (std::size_t v = 0; v < want.rows[r].values.size(); ++v) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.rows[r].values[v]),
+                std::bit_cast<std::uint64_t>(want.rows[r].values[v]))
+          << where << " row " << r << " value " << v;
+    }
+  }
+  ASSERT_EQ(got.topk.size(), want.topk.size()) << where;
+  for (std::size_t t = 0; t < want.topk.size(); ++t) {
+    ASSERT_EQ(got.topk[t].size(), want.topk[t].size()) << where;
+    for (std::size_t k = 0; k < want.topk[t].size(); ++k) {
+      EXPECT_EQ(got.topk[t][k].entity, want.topk[t][k].entity)
+          << where << " target " << t << " rank " << k;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.topk[t][k].value),
+                std::bit_cast<std::uint64_t>(want.topk[t][k].value))
+          << where << " target " << t << " rank " << k;
+    }
+  }
+}
+
+// The pool with 0-3 workers and any morsel size answers bit for bit like
+// SharedScan::ScanStep. Values are small dyadic numbers, so sums are exact
+// in any merge order; the top-k columns repeat values across buckets, so
+// ties between executors are settled by entity id alone.
+TEST_F(ScanPoolTest, PoolIsBitIdenticalToScanStep) {
+  DeltaMainStore::Options sopts;
+  sopts.bucket_size = 32;
+  sopts.max_records = 4096;
+  DeltaMainStore store(schema_.get(), sopts);
+  const std::uint16_t entity = schema_->FindAttribute("entity_id");
+  const std::uint16_t calls = schema_->FindAttribute("calls_today");
+  const std::uint16_t dur = schema_->FindAttribute("dur_today_sum");
+  const std::uint16_t cost = schema_->FindAttribute("cost_week_sum");
+  Random rng(91);
+  std::vector<std::uint8_t> row(schema_->record_size(), 0);
+  for (EntityId e = 1; e <= 3000; ++e) {
+    RecordView rec(schema_.get(), row.data());
+    rec.Set(entity, Value::UInt64(e));
+    rec.Set(calls, Value::Int32(static_cast<std::int32_t>(rng.Uniform(20))));
+    rec.Set(dur, Value::Float(static_cast<float>(rng.Uniform(13)) * 0.5f));
+    rec.Set(cost, Value::Float(static_cast<float>(rng.Uniform(9)) - 4.0f));
+    ASSERT_TRUE(store.BulkInsert(e, row.data()).ok());
+  }
+
+  std::vector<Query> batch = MakeBatch();
+  batch.push_back(*QueryBuilder(schema_.get())
+                       .Select(AggOp::kAvg, "dur_today_sum")
+                       .Select(AggOp::kMin, "cost_week_sum")
+                       .SelectSumRatio("cost_week_sum", "dur_today_sum")
+                       .GroupByAttr("calls_today")
+                       .Build());
+  for (std::uint32_t k : {1u, 3u, 50u}) {
+    for (bool asc : {false, true}) {
+      batch.push_back(*QueryBuilder(schema_.get())
+                           .TopK("dur_today_sum", asc, k)
+                           .TopKRatio("cost_week_sum", "dur_today_sum", asc, k)
+                           .Where("calls_today", CmpOp::kGt, Value::Int32(3))
+                           .WithEntityAttr("entity_id")
+                           .Build());
+    }
+  }
+
+  std::vector<CompiledQuery> compiled;
+  for (const Query& q : batch) {
+    compiled.push_back(*CompiledQuery::Compile(q, schema_.get(), nullptr));
+  }
+  SharedScan scan(&store);
+  scan.ScanStep(compiled);
+  std::vector<QueryResult> want;
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    want.push_back(FinalizeResult(batch[q], nullptr, compiled[q].TakePartial()));
+  }
+
+  const auto plans = CompileBatch(batch);
+  for (std::size_t workers : {0u, 1u, 2u, 3u}) {
+    ScanPool::Options popts;
+    popts.num_threads = workers;
+    ScanPool pool(popts);
+    for (std::uint32_t morsel : {1u, 3u, 200u}) {
+      ScanPool::ScanOptions options;
+      options.morsel_buckets = morsel;
+      std::vector<PartialResult> results;
+      pool.ScanPartition(store.main(), plans, options, &results);
+      ASSERT_EQ(results.size(), batch.size());
+      for (std::size_t q = 0; q < batch.size(); ++q) {
+        ExpectBitIdentical(
+            FinalizeResult(batch[q], nullptr, std::move(results[q])), want[q],
+            "workers " + std::to_string(workers) + " morsel " +
+                std::to_string(morsel) + " query " + std::to_string(q));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// ParallelSharedScan racing concurrent ingest: worker threads scan the main
-// while a live ESP writer puts into the delta and the RTA role interleaves
-// switch/merge cycles between scans (the paper's Figure 6 loop). Scan
+// Morsel-parallel ScanPool scans racing concurrent ingest: pool workers
+// scan the main while a live ESP writer puts into the delta and the RTA
+// role interleaves switch/merge cycles between scans (the paper's Figure 6
+// loop). Scan
 // results must stay snapshot-consistent — COUNT(*) exact, SUM monotone
 // under increment-only updates — and TSan must observe no unsynchronized
 // access between scan workers and the writer.
@@ -12,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "aim/rta/parallel_scan.h"
+#include "aim/rta/scan_pool.h"
 #include "aim/storage/delta_main.h"
 #include "stress_util.h"
 #include "test_util.h"
@@ -52,6 +53,21 @@ class ParallelScanStressTest : public ::testing::Test {
     return batch;
   }
 
+  /// One scan of the main on the process-wide pool, the calling thread
+  /// coordinating; returns one partial per query.
+  std::vector<PartialResult> PoolScan(const std::vector<Query>& batch,
+                                      std::uint32_t morsel_buckets) {
+    std::vector<std::shared_ptr<const QueryPlan>> plans;
+    for (const Query& q : batch) {
+      plans.push_back(*QueryPlan::Compile(q, schema_.get(), nullptr));
+    }
+    ScanPool::ScanOptions opts;
+    opts.morsel_buckets = morsel_buckets;
+    std::vector<PartialResult> partials;
+    ScanPool::Shared()->ScanPartition(store_->main(), plans, opts, &partials);
+    return partials;
+  }
+
   std::unique_ptr<Schema> schema_;
   std::unique_ptr<DeltaMainStore> store_;
   std::uint16_t calls_ = 0;
@@ -88,15 +104,8 @@ TEST_F(ParallelScanStressTest, ScansStayConsistentUnderIngest) {
     store_->SwitchDeltas();
     store_->MergeStep();
 
-    ParallelSharedScan::Options opts;
-    opts.num_threads = 3;
-    opts.chunk_buckets = 2;
-    StatusOr<std::vector<PartialResult>> partials =
-        ParallelSharedScan::Execute(store_->main(), schema_.get(), nullptr,
-                                    batch, opts);
-    ASSERT_TRUE(partials.ok());
-    QueryResult r =
-        FinalizeResult(batch[0], nullptr, std::move((*partials)[0]));
+    std::vector<PartialResult> partials = PoolScan(batch, 2);
+    QueryResult r = FinalizeResult(batch[0], nullptr, std::move(partials[0]));
     ASSERT_EQ(r.rows.size(), 1u);
     const double sum = r.rows[0].values[0];
     const double count = r.rows[0].values[1];
@@ -155,15 +164,8 @@ TEST_F(ParallelScanStressTest, CountMonotoneUnderInserts) {
     store_->SwitchDeltas();
     store_->MergeStep();
 
-    ParallelSharedScan::Options opts;
-    opts.num_threads = 2;
-    opts.chunk_buckets = 1;
-    StatusOr<std::vector<PartialResult>> partials =
-        ParallelSharedScan::Execute(store_->main(), schema_.get(), nullptr,
-                                    batch, opts);
-    ASSERT_TRUE(partials.ok());
-    QueryResult r =
-        FinalizeResult(batch[0], nullptr, std::move((*partials)[0]));
+    std::vector<PartialResult> partials = PoolScan(batch, 1);
+    QueryResult r = FinalizeResult(batch[0], nullptr, std::move(partials[0]));
     const double count = r.rows[0].values[1];
     ASSERT_GE(count, last_count);
     ASSERT_LE(count, static_cast<double>(

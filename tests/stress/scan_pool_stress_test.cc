@@ -57,12 +57,13 @@ class ScanPoolStressTest : public ::testing::Test {
     return batch;
   }
 
-  std::vector<CompiledQuery> CompileBatch(const std::vector<Query>& batch) {
-    std::vector<CompiledQuery> compiled;
+  std::vector<std::shared_ptr<const QueryPlan>> CompileBatch(
+      const std::vector<Query>& batch) {
+    std::vector<std::shared_ptr<const QueryPlan>> plans;
     for (const Query& q : batch) {
-      compiled.push_back(*CompiledQuery::Compile(q, schema_.get(), nullptr));
+      plans.push_back(*QueryPlan::Compile(q, schema_.get(), nullptr));
     }
-    return compiled;
+    return plans;
   }
 
   std::unique_ptr<Schema> schema_;
@@ -90,7 +91,7 @@ TEST_F(ScanPoolStressTest, ConcurrentCoordinatorsShareOnePool) {
       std::unique_ptr<ColumnMap> map = MakePartition(fill);
       const std::vector<Query> batch = SumCountBatch();
       for (int round = 0; round < kRounds; ++round) {
-        const std::vector<CompiledQuery> prototype = CompileBatch(batch);
+        const auto plans = CompileBatch(batch);
         ScanPool::ScanOptions sopts;
         // Vary morsel size and participation across coordinators so the
         // board sees mixed job shapes in flight simultaneously.
@@ -98,7 +99,7 @@ TEST_F(ScanPoolStressTest, ConcurrentCoordinatorsShareOnePool) {
         sopts.coordinator_participates = (c % 2 == 0);
         std::vector<PartialResult> results;
         const ScanPool::ScanStats stats =
-            pool.ScanPartition(*map, prototype, sopts, &results);
+            pool.ScanPartition(*map, plans, sopts, &results);
         ASSERT_EQ(stats.executed_by_coordinator + stats.executed_by_workers,
                   stats.morsels)
             << "coordinator " << c << " round " << round;
@@ -171,11 +172,11 @@ TEST_F(ScanPoolStressTest, PoolScanStaysConsistentUnderIngest) {
     store.SwitchDeltas();
     store.MergeStep();
 
-    const std::vector<CompiledQuery> prototype = CompileBatch(batch);
+    const auto plans = CompileBatch(batch);
     ScanPool::ScanOptions scan_opts;
     scan_opts.morsel_buckets = 2;
     std::vector<PartialResult> results;
-    pool.ScanPartition(store.main(), prototype, scan_opts, &results);
+    pool.ScanPartition(store.main(), plans, scan_opts, &results);
     QueryResult r = FinalizeResult(batch[0], nullptr, std::move(results[0]));
     ASSERT_EQ(r.rows.size(), 1u);
     const double sum = r.rows[0].values[0];
